@@ -11,7 +11,7 @@
 //! * **contended** — every writer read-modify-writes one shared counter
 //!   (`replace value of`, the §2.5 nextid shape). This is the worst
 //!   case: almost every concurrent Δ conflicts, retries, and may fall
-//!   back to the client's XQB0052 re-submit loop. The harness asserts
+//!   back to the server's serialized path. The harness asserts
 //!   the lost-update invariant — the final counter equals the total
 //!   number of increments — at every writer count.
 //!

@@ -1050,12 +1050,67 @@ impl Evaluator {
                 Ok(seq![Item::Node(doc)])
             }
             // ---------------- update operators (Appendix B) ----------------
-            Core::Insert { source, location } => {
+            Core::Insert { .. }
+            | Core::Delete(_)
+            | Core::Replace(..)
+            | Core::ReplaceValue(..)
+            | Core::Rename(..) => self.eval_update(store, env, expr, |ev, store, env, i| {
+                let operand = expr.update_operand(i).expect("update operand in range");
+                ev.eval(store, env, operand)
+            }),
+            Core::Copy(e) => {
+                let v = self.eval(store, env, e)?;
+                let mut out = Sequence::with_capacity(v.len());
+                for it in v {
+                    out.push(match it {
+                        Item::Node(n) => Item::Node(store.deep_copy(n)?),
+                        atomic => atomic,
+                    });
+                }
+                Ok(out)
+            }
+            Core::Snap(mode, body) => {
+                // The snap rule: evaluate the body with a fresh Δ on top of
+                // the stack, pop it, apply it. Nested snaps close first —
+                // the recursion gives the paper's stack behavior for free.
+                self.begin_snap_scope();
+                match self.eval(store, env, body) {
+                    Ok(value) => {
+                        self.apply_snap_scope(store, *mode)?;
+                        Ok(value)
+                    }
+                    Err(e) => {
+                        self.end_snap_scope();
+                        Err(e)
+                    }
+                }
+            }
+        }
+    }
+
+    /// The update rules (Appendix B), shared by the interpreter and the
+    /// plan executor so they exist once. `update` is one of the five
+    /// update forms; `operand(ev, store, env, i)` yields the value of its
+    /// `i`-th operand ([`Core::update_operand`]) — the interpreter
+    /// evaluates the operand expression, a compiled plan runs its operand
+    /// sub-plan. Operands are requested lazily and strictly in the rules'
+    /// order, so effects inside an operand (a closed snap) are visible to
+    /// the operands after it, and a rule that fails between operands
+    /// (`replace value of` on an element) never evaluates the rest.
+    pub fn eval_update(
+        &mut self,
+        store: &mut Store,
+        env: &mut DynEnv,
+        update: &Core,
+        mut operand: impl FnMut(&mut Evaluator, &mut Store, &mut DynEnv, usize) -> XdmResult<Sequence>,
+    ) -> XdmResult<Sequence> {
+        match update {
+            Core::Insert { location, .. } => {
                 // Rule order: Expr1 (source), then Expr2 (target), then the
                 // InsertLocation judgment resolves (nodepar, nodepos).
-                let src = self.eval(store, env, source)?;
+                let src = operand(self, store, env, 0)?;
                 let nodes = content_to_nodes(store, &src)?;
-                let target = self.eval(store, env, location.target())?;
+                let target = operand(self, store, env, 1)?;
                 let t = item::exactly_one_node(target)?;
                 let (parent, anchor) = resolve_insert_anchor(store, location, t)?;
                 self.push_request(UpdateRequest::Insert {
@@ -1065,8 +1120,8 @@ impl Evaluator {
                 })?;
                 Ok(seq![])
             }
-            Core::Delete(target) => {
-                let v = self.eval(store, env, target)?;
+            Core::Delete(_) => {
+                let v = operand(self, store, env, 0)?;
                 // The paper's rule shows a single node; its own §2.3 example
                 // deletes a whole sequence ($log/logentry), so we accept a
                 // node sequence and emit one request per node, in order.
@@ -1075,12 +1130,12 @@ impl Evaluator {
                 }
                 Ok(seq![])
             }
-            Core::Replace(target, with) => {
+            Core::Replace(..) => {
                 // Appendix B: Δ3 = (Δ1, Δ2, insert(nodeseq, nodepar, node),
                 //                   delete(node))
-                let tv = self.eval(store, env, target)?;
+                let tv = operand(self, store, env, 0)?;
                 let node = item::exactly_one_node(tv)?;
-                let wv = self.eval(store, env, with)?;
+                let wv = operand(self, store, env, 1)?;
                 let nodeseq = content_to_nodes(store, &wv)?;
                 let parent = store
                     .parent(node)?
@@ -1113,11 +1168,11 @@ impl Evaluator {
                 }
                 Ok(seq![])
             }
-            Core::ReplaceValue(target, with) => {
+            Core::ReplaceValue(..) => {
                 // One setValue request: the target node keeps its
                 // identity, only its string value changes. The source is
                 // atomized and space-joined like attribute content.
-                let tv = self.eval(store, env, target)?;
+                let tv = operand(self, store, env, 0)?;
                 let node = item::exactly_one_node(tv)?;
                 match store.kind(node)? {
                     NodeKind::Text { .. } | NodeKind::Attribute { .. } => {}
@@ -1134,7 +1189,7 @@ impl Evaluator {
                         ));
                     }
                 }
-                let wv = self.eval(store, env, with)?;
+                let wv = operand(self, store, env, 1)?;
                 let parts: Vec<String> = item::atomize(&wv, store)?
                     .into_iter()
                     .map(|a| a.string_value())
@@ -1145,10 +1200,10 @@ impl Evaluator {
                 })?;
                 Ok(seq![])
             }
-            Core::Rename(target, name) => {
-                let tv = self.eval(store, env, target)?;
+            Core::Rename(..) => {
+                let tv = operand(self, store, env, 0)?;
                 let node = item::exactly_one_node(tv)?;
-                let nv = self.eval(store, env, name)?;
+                let nv = operand(self, store, env, 1)?;
                 let name_str = item::exactly_one(nv)?.string_value(store)?;
                 let qname = QName::parse(&name_str).ok_or_else(|| {
                     XdmError::value("XQDY0074", format!("\"{name_str}\" is not a valid QName"))
@@ -1156,33 +1211,7 @@ impl Evaluator {
                 self.push_request(UpdateRequest::Rename { node, name: qname })?;
                 Ok(seq![])
             }
-            Core::Copy(e) => {
-                let v = self.eval(store, env, e)?;
-                let mut out = Sequence::with_capacity(v.len());
-                for it in v {
-                    out.push(match it {
-                        Item::Node(n) => Item::Node(store.deep_copy(n)?),
-                        atomic => atomic,
-                    });
-                }
-                Ok(out)
-            }
-            Core::Snap(mode, body) => {
-                // The snap rule: evaluate the body with a fresh Δ on top of
-                // the stack, pop it, apply it. Nested snaps close first —
-                // the recursion gives the paper's stack behavior for free.
-                self.begin_snap_scope();
-                match self.eval(store, env, body) {
-                    Ok(value) => {
-                        self.apply_snap_scope(store, *mode)?;
-                        Ok(value)
-                    }
-                    Err(e) => {
-                        self.end_snap_scope();
-                        Err(e)
-                    }
-                }
-            }
+            _ => Err(XdmError::precondition("not an update expression")),
         }
     }
 

@@ -21,7 +21,9 @@
 //!    value (F may mention `$g` freely — it receives exactly the sequence
 //!    the nested loop would have produced, in the same order).
 
-use crate::plan::{BatchFilter, BatchPathPlan, BatchStep, GroupByPlan, JoinPlan, QueryPlan};
+use crate::plan::{
+    BatchFilter, BatchPathPlan, BatchStep, GroupByPlan, JoinPlan, QueryPlan, UpdatePlan,
+};
 use std::cell::RefCell;
 use xqcore::{Effect, EffectAnalysis};
 use xqdm::atomic::{Atomic, CompareOp};
@@ -160,9 +162,37 @@ impl Compiler {
                     };
                 }
             }
+            Core::Insert { .. }
+            | Core::Delete(_)
+            | Core::Replace(..)
+            | Core::ReplaceValue(..)
+            | Core::Rename(..) => {
+                if let Some(plan) = self.try_update(core) {
+                    return plan;
+                }
+            }
             _ => {}
         }
         self.leaf(core)
+    }
+
+    /// An update whose target lowers to a batch chain gets a plan node
+    /// with compiled operands, so the target walk runs on the store
+    /// kernels (and the indexes) instead of the interpreter. Purely
+    /// physical: the operands run in the interpreter's order and feed the
+    /// same update rules. Other targets (a variable, say) stay `Iterate`.
+    fn try_update(&self, core: &Core) -> Option<QueryPlan> {
+        let target = core.update_target_index()?;
+        let operands: Vec<QueryPlan> = (0..)
+            .map_while(|i| core.update_operand(i))
+            .map(|operand| self.compile(operand))
+            .collect();
+        matches!(operands[target], QueryPlan::BatchPath(_)).then(|| {
+            QueryPlan::Update(UpdatePlan {
+                core: core.clone(),
+                operands,
+            })
+        })
     }
 
     /// The leaf fallback: a pure path-step chain lowers to a

@@ -193,6 +193,9 @@ fn run_node(
                 }
             }
         }
+        QueryPlan::Update(u) => evaluator.eval_update(store, env, &u.core, |ev, store, env, i| {
+            execute_at(&u.operands[i], u.operand_id(base, i), ev, store, env)
+        }),
     }
 }
 

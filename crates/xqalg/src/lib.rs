@@ -34,7 +34,7 @@ pub mod rewrite;
 pub use compile::Compiler;
 pub use exec::{execute, run_plan};
 pub use pipeline::{compile_program, AlgPlanner, PlannedProgram};
-pub use plan::{GroupByPlan, JoinPlan, QueryPlan};
+pub use plan::{GroupByPlan, JoinPlan, QueryPlan, UpdatePlan};
 pub use rewrite::simplify;
 
 use std::sync::Arc;

@@ -86,6 +86,52 @@ pub enum QueryPlan {
     /// symbol ids, then doc-order sorts and dedups — observably identical
     /// to step-at-a-time interpretation of the same chain.
     BatchPath(BatchPathPlan),
+    /// An update expression (`insert`, `delete`, `replace`, `replace
+    /// value of`, `rename`) whose target compiled to a
+    /// [`QueryPlan::BatchPath`]: the operand sub-plans run in the
+    /// dynamic semantics' order, and the evaluator's update rules
+    /// ([`xqcore::Evaluator::eval_update`]) turn their values into
+    /// pending update requests — the same rules the interpreter applies.
+    Update(UpdatePlan),
+}
+
+/// An update with compiled operands (see [`QueryPlan::Update`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct UpdatePlan {
+    /// The update expression (its form, and rendering).
+    pub core: Core,
+    /// One sub-plan per operand, indexed like
+    /// [`Core::update_operand`] — which is also execution order.
+    pub operands: Vec<QueryPlan>,
+}
+
+impl UpdatePlan {
+    /// The form's label in plan printouts.
+    fn label(&self) -> &'static str {
+        use xqsyn::core::CoreInsertLoc;
+        match &self.core {
+            Core::Insert { location, .. } => match location {
+                CoreInsertLoc::First(_) => "insert as first into",
+                CoreInsertLoc::Last(_) => "insert as last into",
+                CoreInsertLoc::Before(_) => "insert before",
+                CoreInsertLoc::After(_) => "insert after",
+            },
+            Core::Delete(_) => "delete",
+            Core::Replace(..) => "replace",
+            Core::ReplaceValue(..) => "replace value of",
+            Core::Rename(..) => "rename",
+            _ => "update",
+        }
+    }
+
+    /// The profile node id of operand `i`, given this node's id `base`.
+    pub fn operand_id(&self, base: usize, i: usize) -> usize {
+        base + 1
+            + self.operands[..i]
+                .iter()
+                .map(QueryPlan::node_count)
+                .sum::<usize>()
+    }
 }
 
 /// The batch lowering of a path-step chain.
@@ -213,6 +259,7 @@ impl QueryPlan {
                 cond.is_optimized() || then.is_optimized() || els.is_optimized()
             }
             QueryPlan::Snap { body, .. } => body.is_optimized(),
+            QueryPlan::Update(u) => u.operands.iter().any(QueryPlan::is_optimized),
         }
     }
 
@@ -231,6 +278,7 @@ impl QueryPlan {
                 cond.is_batched() || then.is_batched() || els.is_batched()
             }
             QueryPlan::Snap { body, .. } => body.is_batched(),
+            QueryPlan::Update(u) => u.operands.iter().any(QueryPlan::is_batched),
         }
     }
 
@@ -255,6 +303,7 @@ impl QueryPlan {
                 cond.node_count() + then.node_count() + els.node_count()
             }
             QueryPlan::Snap { body, .. } => body.node_count(),
+            QueryPlan::Update(u) => u.operands.iter().map(QueryPlan::node_count).sum(),
         }
     }
 
@@ -442,6 +491,21 @@ impl QueryPlan {
                     indent(&body.render_node(analysis, profile, base + 1), 2)
                 )
             }
+            QueryPlan::Update(u) => {
+                let eff = match analysis {
+                    Some(a) => format!("[{:?}]", a.effect(&u.core)),
+                    None => String::new(),
+                };
+                let parts: Vec<String> = u
+                    .operands
+                    .iter()
+                    .enumerate()
+                    .map(|(i, p)| {
+                        indent(&p.render_node(analysis, profile, u.operand_id(base, i)), 2)
+                    })
+                    .collect();
+                format!("Update{eff}({}) [\n{}\n]", u.label(), parts.join(",\n"))
+            }
         };
         match profile {
             Some(p) => annotate_head(&text, p.node(base)),
@@ -475,6 +539,7 @@ impl QueryPlan {
             QueryPlan::For { .. } => "For",
             QueryPlan::If { .. } => "If",
             QueryPlan::Snap { .. } => "Snap",
+            QueryPlan::Update(_) => "Update",
         };
         let fail = |what: String| Err(format!("node {base} ({label}): {what}"));
         let check = n.calls > 0 && n.par_regions == 0;
@@ -611,6 +676,21 @@ impl QueryPlan {
                     }
                 }
                 body.verify_profile(profile, base + 1)
+            }
+            QueryPlan::Update(u) => {
+                // A successful update evaluated every operand exactly once.
+                for (i, p) in u.operands.iter().enumerate() {
+                    let id = u.operand_id(base, i);
+                    let c = profile.node(id);
+                    if check && c.calls != n.calls {
+                        return fail(format!(
+                            "update operand {id} ran {} times, parent {}",
+                            c.calls, n.calls
+                        ));
+                    }
+                    p.verify_profile(profile, id)?;
+                }
+                Ok(())
             }
         }
     }

@@ -20,10 +20,21 @@
 //!   per scan (an index bucket is store-global; containment filters it
 //!   to the scan's origin subtrees).
 //!
-//! Sharing follows the store's COW discipline: the outer maps and every
-//! bucket sit behind [`Arc`]s, so [`crate::Store::snapshot`] forks the
-//! whole plane by reference-count bumps and a writer unshares only the
-//! buckets it touches (plus, once per fork, the outer map of `Arc`s).
+//! Sharing follows the store's COW discipline, at a granularity that
+//! keeps the first write after a snapshot O(touched), not O(store):
+//!
+//! * The attribute-value map has one entry per distinct value, so it is
+//!   split into [`ATTR_SHARDS`] shards, picked by the top bits of the
+//!   value hash the key already carries. The shard table sits behind one
+//!   [`Arc`] and every shard behind its own, so a fork is still a single
+//!   reference-count bump; the first attribute write after a fork copies
+//!   the table of shard pointers (`ATTR_SHARDS` bumps) and then only the
+//!   shard and bucket it touches — 1/`ATTR_SHARDS` of the map.
+//! * The element-name map stays whole: it has one entry per distinct
+//!   element name (tens, not thousands), so copying it is cheap.
+//! * Every bucket sits behind its own `Arc`; a writer unshares only the
+//!   buckets it touches.
+//!
 //! The plane is *derived* — it never feeds the store fingerprint or any
 //! on-disk format.
 
@@ -47,14 +58,28 @@ pub(crate) fn value_hash(value: &str) -> u64 {
 
 type Bucket = Arc<HashSet<NodeId>>;
 
+/// A map of buckets, shared copy-on-write.
+type BucketMap<K> = Arc<HashMap<K, Bucket>>;
+
+/// Shards of the attribute-value map (a power of two).
+const ATTR_SHARDS: usize = 64;
+
+/// The shard of a value hash: its top bits, so no second hash runs (the
+/// shard's own map rehashes the full key as usual).
+#[inline]
+fn attr_shard(vh: u64) -> usize {
+    (vh >> (64 - ATTR_SHARDS.trailing_zeros())) as usize
+}
+
 /// The store's secondary-index plane. Cheap to clone (Arc bumps); see
 /// the module docs for the COW contract.
 #[derive(Debug, Clone)]
 pub(crate) struct IndexPlane {
     /// Alive elements by interned name.
-    by_name: Arc<HashMap<QNameId, Bucket>>,
-    /// Alive attributes by (interned name, value hash).
-    by_attr: Arc<HashMap<(QNameId, u64), Bucket>>,
+    by_name: BucketMap<QNameId>,
+    /// Alive attributes by (interned name, value hash), sharded by
+    /// [`attr_shard`] of the value hash.
+    by_attr: Arc<[BucketMap<(QNameId, u64)>; ATTR_SHARDS]>,
     /// Alive element count — the cost gate's selectivity denominator.
     elements: usize,
     /// Planner availability. Maintenance is unconditional (it is O(1)
@@ -69,7 +94,7 @@ impl Default for IndexPlane {
     fn default() -> Self {
         IndexPlane {
             by_name: Arc::new(HashMap::new()),
-            by_attr: Arc::new(HashMap::new()),
+            by_attr: Arc::new(std::array::from_fn(|_| Arc::new(HashMap::new()))),
             elements: 0,
             enabled: true,
             epoch: 0,
@@ -77,20 +102,12 @@ impl Default for IndexPlane {
     }
 }
 
-fn bucket_insert<K: std::hash::Hash + Eq + Copy>(
-    map: &mut Arc<HashMap<K, Bucket>>,
-    key: K,
-    id: NodeId,
-) {
+fn bucket_insert<K: std::hash::Hash + Eq + Copy>(map: &mut BucketMap<K>, key: K, id: NodeId) {
     let map = Arc::make_mut(map);
     Arc::make_mut(map.entry(key).or_default()).insert(id);
 }
 
-fn bucket_remove<K: std::hash::Hash + Eq + Copy>(
-    map: &mut Arc<HashMap<K, Bucket>>,
-    key: K,
-    id: NodeId,
-) {
+fn bucket_remove<K: std::hash::Hash + Eq + Copy>(map: &mut BucketMap<K>, key: K, id: NodeId) {
     let map = Arc::make_mut(map);
     if let Some(b) = map.get_mut(&key) {
         let set = Arc::make_mut(b);
@@ -103,6 +120,11 @@ fn bucket_remove<K: std::hash::Hash + Eq + Copy>(
 }
 
 impl IndexPlane {
+    /// The shard holding value hash `vh`, unshared for writing.
+    fn attr_shard_mut(&mut self, vh: u64) -> &mut BucketMap<(QNameId, u64)> {
+        &mut Arc::make_mut(&mut self.by_attr)[attr_shard(vh)]
+    }
+
     /// Is the plane visible to the planner?
     pub(crate) fn enabled(&self) -> bool {
         self.enabled
@@ -135,7 +157,8 @@ impl IndexPlane {
                 self.elements += 1;
             }
             NodeKind::Attribute { name, value } => {
-                bucket_insert(&mut self.by_attr, (*name, value_hash(value)), id);
+                let vh = value_hash(value);
+                bucket_insert(self.attr_shard_mut(vh), (*name, vh), id);
             }
             _ => {}
         }
@@ -150,7 +173,8 @@ impl IndexPlane {
                 self.elements -= 1;
             }
             NodeKind::Attribute { name, value } => {
-                bucket_remove(&mut self.by_attr, (*name, value_hash(value)), id);
+                let vh = value_hash(value);
+                bucket_remove(self.attr_shard_mut(vh), (*name, vh), id);
             }
             _ => {}
         }
@@ -167,8 +191,8 @@ impl IndexPlane {
     /// An attribute's bucket key changed (rename or value write).
     pub(crate) fn move_attr(&mut self, from: (QNameId, u64), to: (QNameId, u64), id: NodeId) {
         if from != to {
-            bucket_remove(&mut self.by_attr, from, id);
-            bucket_insert(&mut self.by_attr, to, id);
+            bucket_remove(self.attr_shard_mut(from.1), from, id);
+            bucket_insert(self.attr_shard_mut(to.1), to, id);
         }
     }
 
@@ -186,12 +210,16 @@ impl IndexPlane {
     /// Size of a value bucket (hash collisions inflate this by design;
     /// the gate only needs an upper bound).
     pub(crate) fn attr_len(&self, name: QNameId, vh: u64) -> usize {
-        self.by_attr.get(&(name, vh)).map_or(0, |b| b.len())
+        self.by_attr[attr_shard(vh)]
+            .get(&(name, vh))
+            .map_or(0, |b| b.len())
     }
 
     /// The value bucket, if any. Callers must re-check the exact value.
     pub(crate) fn attr_bucket(&self, name: QNameId, vh: u64) -> Option<&HashSet<NodeId>> {
-        self.by_attr.get(&(name, vh)).map(|b| b.as_ref())
+        self.by_attr[attr_shard(vh)]
+            .get(&(name, vh))
+            .map(|b| b.as_ref())
     }
 
     /// Rebuild from scratch over the slot space, preserving the
@@ -216,7 +244,22 @@ impl IndexPlane {
         let fresh = IndexPlane::rebuild(nodes, self.enabled, self.epoch);
         self.elements == fresh.elements
             && *self.by_name == *fresh.by_name
-            && *self.by_attr == *fresh.by_attr
+            && self
+                .by_attr
+                .iter()
+                .zip(fresh.by_attr.iter())
+                .all(|(a, b)| a == b)
+    }
+
+    /// How many attribute shards `self` still shares (pointer-equal) with
+    /// `other` — the copy-on-write granularity, observable for tests.
+    #[cfg(test)]
+    fn shared_attr_shards(&self, other: &IndexPlane) -> usize {
+        self.by_attr
+            .iter()
+            .zip(other.by_attr.iter())
+            .filter(|(a, b)| Arc::ptr_eq(a, b))
+            .count()
     }
 }
 
@@ -271,6 +314,47 @@ mod tests {
         assert!(s.index_verify());
         let after = (s.index_name_len_lexical("a"), s.index_name_len_lexical("b"));
         assert_eq!(before, after);
+    }
+
+    #[test]
+    fn first_write_after_snapshot_unshares_one_attr_shard() {
+        // ~1.5k and ~148k nodes: one element plus two attributes (both
+        // with distinct values) per row, so the value map grows with
+        // the store while the copy on first write must not.
+        for rows in [500, 49_000] {
+            let mut xml = String::from("<rows>");
+            for i in 0..rows {
+                xml.push_str(&format!("<r id=\"r{i}\" v=\"{i}\"/>"));
+            }
+            xml.push_str("</rows>");
+            let mut s = Store::new();
+            let doc = crate::xml::parse_document(&mut s, &xml).unwrap();
+            assert!(s.len() >= rows * 3);
+            let root = s.children(doc).unwrap()[0];
+            let snap = s.snapshot();
+            let shared = |s: &Store| s.index_plane().shared_attr_shards(snap.index_plane());
+            assert_eq!(shared(&s), ATTR_SHARDS, "a fork shares every shard");
+
+            let a = s.new_attribute(QName::local("n"), "fresh");
+            s.attach_attribute(root, a).unwrap();
+            assert_eq!(
+                shared(&s),
+                ATTR_SHARDS - 1,
+                "{rows} rows: one attribute write unshares exactly one shard"
+            );
+            // The snapshot's plane is untouched and still exact; the
+            // writer's is exact too.
+            assert!(snap.index_verify());
+            assert_eq!(
+                snap.index_attr_len(s.symbols().lookup_lexical("n").unwrap(), "fresh"),
+                0
+            );
+            assert!(s.index_verify());
+            assert_eq!(
+                s.index_attr_len(s.symbols().lookup_lexical("n").unwrap(), "fresh"),
+                1
+            );
+        }
     }
 
     #[test]

@@ -940,6 +940,12 @@ impl Store {
         self.index.matches_rebuild(&self.nodes)
     }
 
+    /// The index plane itself (copy-on-write structure tests).
+    #[cfg(test)]
+    pub(crate) fn index_plane(&self) -> &IndexPlane {
+        &self.index
+    }
+
     // ------------------------------------------------------------------
     // Accessors
     //

@@ -226,6 +226,39 @@ impl Core {
         Core::Const(Atomic::String(s.into()))
     }
 
+    /// The `i`-th operand of an update expression, numbered in the
+    /// dynamic semantics' evaluation order: `insert` is (source, target),
+    /// `delete` is (target), and `replace`, `replace value of` and
+    /// `rename` are (target, with/name). `None` past the last operand or
+    /// for a non-update expression.
+    pub fn update_operand(&self, i: usize) -> Option<&Core> {
+        match (self, i) {
+            (Core::Insert { source, .. }, 0) => Some(source),
+            (Core::Insert { location, .. }, 1) => Some(location.target()),
+            (Core::Delete(target), 0) => Some(target),
+            (
+                Core::Replace(target, _) | Core::ReplaceValue(target, _) | Core::Rename(target, _),
+                0,
+            ) => Some(target),
+            (Core::Replace(_, with) | Core::ReplaceValue(_, with) | Core::Rename(_, with), 1) => {
+                Some(with)
+            }
+            _ => None,
+        }
+    }
+
+    /// The index of an update expression's target operand (see
+    /// [`Core::update_operand`]); `None` for a non-update expression.
+    pub fn update_target_index(&self) -> Option<usize> {
+        match self {
+            Core::Insert { .. } => Some(1),
+            Core::Delete(_) | Core::Replace(..) | Core::ReplaceValue(..) | Core::Rename(..) => {
+                Some(0)
+            }
+            _ => None,
+        }
+    }
+
     /// Visit this expression and all sub-expressions, pre-order.
     pub fn walk(&self, f: &mut impl FnMut(&Core)) {
         f(self);

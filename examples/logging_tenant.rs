@@ -48,14 +48,17 @@ fn build_server(policy: ConflictPolicy) -> Server {
             )
             .unwrap();
     }
+    // The audit log is on: the abort scenario replays it serially.
     engine.into_server(ServerConfig {
         conflict_policy: policy,
+        audit: true,
         ..ServerConfig::default()
     })
 }
 
-/// A client retry loop: XQB0052 is the server saying "a conflicting Δ
-/// landed first, re-submit" — the §2 service would do exactly this.
+/// A client retry loop: XQB0052 is the abort contract's "a conflicting Δ
+/// landed first, re-submit". The server now falls back to its serialized
+/// path instead, so the loop never spins; a §2 client keeps it anyway.
 fn submit(session: &Session, query: &str) -> String {
     loop {
         match session.execute(query) {

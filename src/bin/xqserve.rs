@@ -46,7 +46,8 @@ fn usage() -> &'static str {
        --no-occ                  serialize every write under the engine lock\n\
                                  (disables optimistic concurrent writers)\n\
        --conflict-policy <P>     abort (default) or lww / last-writer-wins\n\
-       --max-retries <N>         conflict retries before XQB0052 (8)\n\
+       --max-retries <N>         optimistic conflict retries before the write\n\
+                                 runs serialized under the engine lock (8)\n\
        --threads <N>             per-request worker threads ($XQB_THREADS or 1)\n\
        --fuel <N>                per-request step budget (XQB0041)\n\
        --deadline-ms <N>         per-request wall-clock deadline (XQB0042)\n\

@@ -18,6 +18,8 @@ use xquery_bang::xqdm::store::InsertAnchor;
 use xquery_bang::xqdm::{NodeId, QName, Store};
 
 /// One scripted operation, with indices resolved modulo the live node set.
+/// `Snapshot` is a snapshot point: fork the store (copy-on-write) and keep
+/// the fork alive while the script goes on writing.
 #[derive(Debug, Clone)]
 enum Op {
     NewElement(u8),
@@ -30,6 +32,7 @@ enum Op {
     Rename { node: usize, name: u8 },
     DeepCopy(usize),
     MoveAfter { node: usize, anchor: usize },
+    Snapshot,
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -45,12 +48,21 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (any::<usize>(), 0u8..20).prop_map(|(node, name)| Op::Rename { node, name }),
         any::<usize>().prop_map(Op::DeepCopy),
         (any::<usize>(), any::<usize>()).prop_map(|(node, anchor)| Op::MoveAfter { node, anchor }),
+        Just(Op::Snapshot),
     ]
 }
 
 /// Execute a script, ignoring operations whose preconditions fail (the
 /// store must reject them gracefully, never corrupt state).
 fn run_script(ops: &[Op]) -> (Store, Vec<NodeId>) {
+    let (store, nodes, _) = run_script_with_forks(ops);
+    (store, nodes)
+}
+
+/// [`run_script`], also returning every fork taken at an
+/// [`Op::Snapshot`] point together with its fingerprint at fork time.
+fn run_script_with_forks(ops: &[Op]) -> (Store, Vec<NodeId>, Vec<(Store, u64)>) {
+    let mut forks = Vec::new();
     let mut store = Store::new();
     let mut nodes: Vec<NodeId> = vec![store.new_element(QName::local("root"))];
     for op in ops {
@@ -94,9 +106,25 @@ fn run_script(ops: &[Op]) -> (Store, Vec<NodeId>) {
                     }
                 }
             }
+            Op::Snapshot => {
+                let fork = store.snapshot();
+                let fingerprint = fork.fingerprint();
+                forks.push((fork, fingerprint));
+            }
         }
     }
-    (store, nodes)
+    (store, nodes, forks)
+}
+
+/// Every fork's index plane is still exact and its contents unchanged,
+/// however much the store wrote after the fork (copy-on-write isolation
+/// of the sharded plane).
+fn check_forks(forks: &[(Store, u64)]) -> Result<(), TestCaseError> {
+    for (i, (fork, fingerprint)) in forks.iter().enumerate() {
+        prop_assert!(fork.index_verify(), "fork {i}: index diverged from rebuild");
+        prop_assert_eq!(fork.fingerprint(), *fingerprint, "fork {} changed", i);
+    }
+    Ok(())
 }
 
 /// Every node is alive, and parent/child links agree both ways.
@@ -147,14 +175,16 @@ proptest! {
         check_link_consistency(&store, &nodes);
     }
 
-    // ISSUE 10 maintenance equivalence: after ANY random mutation
+    // Maintenance equivalence: after ANY random mutation
     // stream (births, kills, renames, attribute moves, deep copies),
     // the incrementally-maintained index plane holds exactly the
-    // entries a from-scratch rebuild would.
+    // entries a from-scratch rebuild would — and so does every fork
+    // taken at a snapshot point along the way.
     #[test]
     fn index_matches_from_scratch_rebuild(ops in proptest::collection::vec(op_strategy(), 0..80)) {
-        let (store, _) = run_script(&ops);
+        let (store, _, forks) = run_script_with_forks(&ops);
         prop_assert!(store.index_verify(), "index diverged from rebuild");
+        check_forks(&forks)?;
     }
 
     // Same oracle through the Δ layer: a successfully applied random
@@ -166,7 +196,7 @@ proptest! {
         mode_pick in 0u8..3,
     ) {
         use xquery_bang::xqcore::{apply_delta, Delta, SnapMode, UpdateRequest};
-        let (mut store, nodes) = run_script(&ops);
+        let (mut store, nodes, mut forks) = run_script_with_forks(&ops);
         let pick_element = |store: &Store, i: usize| -> NodeId {
             (0..nodes.len())
                 .map(|k| nodes[(i + k) % nodes.len()])
@@ -183,10 +213,16 @@ proptest! {
             .collect();
         let mode = [SnapMode::Ordered, SnapMode::Nondeterministic, SnapMode::ConflictDetection]
             [mode_pick as usize];
+        // A snapshot point right before the apply, as the server takes
+        // one per commit.
+        let fork = store.snapshot();
+        let fingerprint = fork.fingerprint();
+        forks.push((fork, fingerprint));
         // Same-target renames conflict under conflict-detection; either
         // outcome must leave the index rebuild-equivalent.
         let _ = apply_delta(&mut store, delta, mode, 7);
         prop_assert!(store.index_verify(), "index diverged after Δ in {mode:?}");
+        check_forks(&forks)?;
     }
 
     #[test]

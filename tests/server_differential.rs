@@ -11,7 +11,7 @@
 
 use proptest::prelude::*;
 use std::sync::{Arc, Barrier};
-use xquery_bang::{Engine, Error, RequestKind, Server};
+use xquery_bang::{Engine, Error, RequestKind, Server, ServerConfig};
 
 const INITIAL_DOC: &str = "<site><items/><log/><counter>0</counter><tag/></site>";
 
@@ -19,6 +19,18 @@ fn fresh_engine() -> Engine {
     let mut e = Engine::new();
     e.load_document("doc", INITIAL_DOC).unwrap();
     e
+}
+
+/// A server over the initial document with the audit log on: replay
+/// needs every commit's query, body and fingerprint.
+fn audited_server() -> Server {
+    Server::with_config(
+        fresh_engine().0,
+        ServerConfig {
+            audit: true,
+            ..ServerConfig::default()
+        },
+    )
 }
 
 /// The per-session script: session `s` issues `rounds` interleaved
@@ -51,7 +63,7 @@ fn session_script(s: usize, rounds: usize) -> Vec<String> {
 /// Drive `sessions` worker threads through their scripts concurrently;
 /// returns the server for post-hoc inspection.
 fn run_mixed_workload(sessions: usize, rounds: usize) -> Server {
-    let server = Server::new(fresh_engine().0);
+    let server = audited_server();
     let start = Arc::new(Barrier::new(sessions));
     let workers: Vec<_> = (0..sessions)
         .map(|s| {
@@ -259,7 +271,7 @@ fn execute_with_retry(session: &xquery_bang::Session, query: &str) {
 }
 
 fn run_scripted_schedule(scripts: Vec<Vec<usize>>) -> Server {
-    let server = Server::new(fresh_engine().0);
+    let server = audited_server();
     let start = Arc::new(Barrier::new(scripts.len()));
     let workers: Vec<_> = scripts
         .into_iter()
@@ -305,7 +317,7 @@ proptest! {
 
 #[test]
 fn read_only_sessions_never_commit() {
-    let server = Server::new(fresh_engine().0);
+    let server = audited_server();
     let s = server.open_session().unwrap();
     let before = server.fingerprint();
     for _ in 0..5 {

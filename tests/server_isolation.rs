@@ -21,10 +21,18 @@ use std::sync::{Arc, Barrier};
 use xquery_bang::xqcore;
 use xquery_bang::{Engine, RequestKind, Server, ServerConfig};
 
+/// A server over `<log/>` with the audit log on: the interleaving
+/// checks walk its per-epoch fingerprint chain.
 fn server_with_log() -> Server {
     let mut e = Engine::new();
     e.load_document("doc", "<log/>").unwrap();
-    Server::new(e.0)
+    Server::with_config(
+        e.0,
+        ServerConfig {
+            audit: true,
+            ..ServerConfig::default()
+        },
+    )
 }
 
 // ----------------------------------------------------------------------
