@@ -103,8 +103,11 @@ pub struct EvalStats {
 
 /// The evaluator: function table, globals, and the Δ stack.
 pub struct Evaluator {
-    functions: HashMap<(String, usize), CoreFunction>,
-    globals: HashMap<String, Sequence>,
+    /// Function table and globals sit behind `Arc`s so the worker
+    /// evaluators of a parallel region share them without copying
+    /// ([`Evaluator::worker`]); the rare writes go through `make_mut`.
+    functions: Arc<HashMap<(String, usize), CoreFunction>>,
+    globals: Arc<HashMap<String, Sequence>>,
     delta_stack: Vec<Delta>,
     /// Per-snap seed counter for the nondeterministic application order.
     snap_counter: u64,
@@ -184,49 +187,71 @@ impl EvalObs {
 impl Evaluator {
     /// Build an evaluator for a program's function declarations.
     pub fn new(program: &CoreProgram) -> Self {
-        let mut functions = HashMap::new();
-        for f in &program.functions {
-            functions.insert((f.name.clone(), f.params.len()), f.clone());
-        }
-        let limits = Limits::from_env();
-        Evaluator {
-            functions,
-            globals: HashMap::new(),
-            delta_stack: Vec::new(),
-            snap_counter: 0,
-            base_seed: 0x5eed,
-            depth: 0,
-            stats: EvalStats::default(),
-            function_executor: None,
-            threads: crate::par::threads_from_env(),
-            effects: None,
-            obs: None,
-            limits,
-            guard: LimitGuard::new(&limits),
-            scratch: Scratch::new(),
-        }
+        let mut ev = Evaluator::bare();
+        ev.functions = Arc::new(
+            program
+                .functions
+                .iter()
+                .map(|f| ((f.name.clone(), f.params.len()), f.clone()))
+                .collect(),
+        );
+        ev
     }
 
     /// An evaluator with no user functions (for direct expression
     /// evaluation in tests and tools).
     pub fn bare() -> Self {
         let limits = Limits::from_env();
+        Evaluator::from_parts(
+            Arc::default(),
+            Arc::default(),
+            limits,
+            LimitGuard::new(&limits),
+        )
+        .with_threads(crate::par::threads_from_env())
+    }
+
+    fn from_parts(
+        functions: Arc<HashMap<(String, usize), CoreFunction>>,
+        globals: Arc<HashMap<String, Sequence>>,
+        limits: Limits,
+        guard: LimitGuard,
+    ) -> Self {
         Evaluator {
-            functions: HashMap::new(),
-            globals: HashMap::new(),
+            functions,
+            globals,
             delta_stack: Vec::new(),
             snap_counter: 0,
             base_seed: 0x5eed,
             depth: 0,
             stats: EvalStats::default(),
             function_executor: None,
-            threads: crate::par::threads_from_env(),
+            threads: 1,
             effects: None,
             obs: None,
             limits,
-            guard: LimitGuard::new(&limits),
+            guard,
             scratch: Scratch::new(),
         }
+    }
+
+    /// The evaluator one worker of a parallel region runs on (DESIGN.md
+    /// §9): the parent's function table, globals, function executor,
+    /// limits and guard — shared, not copied — starting at the parent's
+    /// recursion depth, so `XQB0040` fires at the sequential nesting.
+    /// Its one Δ scope must stay empty and it never fans out again
+    /// (`threads = 1`); its statistics are discarded.
+    pub(crate) fn worker(&self) -> Evaluator {
+        let mut ev = Evaluator::from_parts(
+            Arc::clone(&self.functions),
+            Arc::clone(&self.globals),
+            self.limits,
+            self.guard.clone(),
+        );
+        ev.function_executor = self.function_executor.clone();
+        ev.depth = self.depth;
+        ev.delta_stack.push(Delta::new());
+        ev
     }
 
     /// Statistics accumulated since construction (snaps closed, requests
@@ -247,11 +272,6 @@ impl Evaluator {
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.clamp(1, crate::par::MAX_THREADS);
         self
-    }
-
-    /// The configured worker-thread budget.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Install resource limits (DESIGN.md §12) and arm a fresh guard. The
@@ -282,31 +302,8 @@ impl Evaluator {
         self.guard.tick()
     }
 
-    /// The read-only context parallel workers evaluate under.
-    pub fn pure_ctx(&self) -> crate::par::PureCtx<'_> {
-        crate::par::PureCtx {
-            functions: &self.functions,
-            globals: &self.globals,
-            guard: &self.guard,
-            max_depth: self.limits.max_depth,
-        }
-    }
-
-    /// The current `eval` nesting depth — parallel workers start their
-    /// recursion counter here so the XQB0040 limit fires at the same
-    /// nesting a sequential evaluation would report.
-    pub fn nesting_depth(&self) -> usize {
-        self.depth
-    }
-
-    /// Record one fanned-out region of `items` iterations.
-    pub fn note_par_region(&mut self, items: usize) {
-        self.stats.par_regions += 1;
-        self.stats.par_items += items as u64;
-    }
-
     /// The parallel gate: is fan-out enabled (threads ≥ 2) *and* is `body`
-    /// provably safe to evaluate on workers sharing `&Store`? Consults the
+    /// provably safe to evaluate on worker evaluators? Consults the
     /// lazily-cached effect analysis over the registered functions; see
     /// [`crate::par::par_safe`] for the judgment itself.
     pub fn par_candidate(&mut self, body: &Core) -> bool {
@@ -339,7 +336,7 @@ impl Evaluator {
 
     /// Define a global variable (module prolog or host binding).
     pub fn bind_global(&mut self, name: impl Into<String>, value: Sequence) {
-        self.globals.insert(name.into(), value);
+        Arc::make_mut(&mut self.globals).insert(name.into(), value);
     }
 
     /// Read a global (used by tests and the engine facade).
@@ -353,7 +350,7 @@ impl Evaluator {
     pub fn register_function(&mut self, func: CoreFunction) {
         // The function table feeds the parallel gate's effect analysis.
         self.effects = None;
-        self.functions
+        Arc::make_mut(&mut self.functions)
             .entry((func.name.clone(), func.params.len()))
             .or_insert(func);
     }
@@ -369,7 +366,7 @@ impl Evaluator {
         self.run_in_program_scope(store, move |ev, store, env| {
             for (name, init) in &program.variables {
                 let v = ev.eval(store, env, init)?;
-                ev.globals.insert(name.clone(), v);
+                ev.bind_global(name.clone(), v);
             }
             ev.eval(store, env, &program.body)
         })
@@ -736,12 +733,11 @@ impl Evaluator {
                 body,
             } => {
                 let src = self.eval(store, env, source)?;
-                // Parallel fan-out for effect-free bodies (DESIGN.md §9):
-                // the source was evaluated sequentially above (it may have
-                // effects); the body runs on workers sharing `&Store` only
-                // when the purity gate proves that indistinguishable.
-                if src.len() >= crate::par::PAR_MIN_ITEMS && self.par_candidate(body) {
-                    return self.par_for(store, env, var, position.as_deref(), &src, body);
+                // The source was evaluated sequentially above (it may have
+                // effects); a provably pure body may fan out.
+                if let Some(r) = self.try_par_for(store, env, var, position.as_deref(), &src, body)
+                {
+                    return r;
                 }
                 let mut out = Sequence::new();
                 for (i, it) in src.into_iter().enumerate() {
@@ -1215,13 +1211,13 @@ impl Evaluator {
         }
     }
 
-    /// Fan a pure `for` body out over the worker pool. Caller guarantees
-    /// [`Evaluator::par_candidate`] admitted `body`. Values come back in
-    /// input order ([`crate::par::par_map`]) and the first failing
-    /// iteration's error wins ([`crate::par::merge_in_order`]) — exactly
-    /// the sequential loop's observable behavior, since a pure body can
-    /// leave no other trace.
-    fn par_for(
+    /// The parallel `for` rule (DESIGN.md §9), shared by the
+    /// interpreter's `Core::For` and the compiled `For` plan node: when
+    /// the source is large enough and the gate admits `body`, the
+    /// iterations run on worker evaluators and their results are charged
+    /// and concatenated in input order, exactly as the sequential loop
+    /// does. `None` means "run the loop sequentially".
+    pub fn try_par_for(
         &mut self,
         store: &Store,
         env: &DynEnv,
@@ -1229,29 +1225,69 @@ impl Evaluator {
         position: Option<&str>,
         src: &[Item],
         body: &Core,
-    ) -> XdmResult<Sequence> {
-        self.note_par_region(src.len());
-        let depth = self.depth;
-        let threads = self.threads;
-        let ctx = crate::par::PureCtx {
-            functions: &self.functions,
-            globals: &self.globals,
-            guard: &self.guard,
-            max_depth: self.limits.max_depth,
-        };
-        let results = crate::par::par_map(threads, env, src, |wenv, i, it| {
-            wenv.push_var(var.to_string(), seq![it.clone()]);
+    ) -> Option<XdmResult<Sequence>> {
+        if src.len() < crate::par::PAR_MIN_ITEMS || !self.par_candidate(body) {
+            return None;
+        }
+        let results = self.fan_out(store, env, src, |ev, store, env, i, it| {
+            env.push_var(var.to_string(), seq![it.clone()]);
             if let Some(p) = position {
-                wenv.push_var(p.to_string(), seq![Item::integer((i + 1) as i64)]);
+                env.push_var(p.to_string(), seq![Item::integer((i + 1) as i64)]);
             }
-            let r = crate::par::eval_pure(&ctx, store, wenv, depth, body);
+            let r = ev.eval(store, env, body);
             if position.is_some() {
-                wenv.pop_var();
+                env.pop_var();
             }
-            wenv.pop_var();
+            env.pop_var();
             r
         });
-        crate::par::merge_in_order(results)
+        let mut out = Sequence::new();
+        let merged = results.into_iter().try_for_each(|r| {
+            let v = r?;
+            self.guard.charge(v.len() as u64)?;
+            out.extend(v);
+            Ok(())
+        });
+        Some(merged.map(|()| out))
+    }
+
+    /// Run `f` once per item on worker evaluators ([`Evaluator::worker`])
+    /// over O(pages) read views of `store` ([`Store::read_view`]), one
+    /// of each per worker thread, and return the per-item results in
+    /// input order ([`crate::par::par_map`]). The caller guarantees the
+    /// gate ([`Evaluator::par_candidate`]) admitted every expression `f`
+    /// evaluates. A worker that nevertheless emits a Δ, closes a snap or
+    /// allocates a node reports internal error `XQB0051`: that is a gate
+    /// bug, never a user error.
+    pub fn fan_out<T: Sync>(
+        &mut self,
+        store: &Store,
+        env: &DynEnv,
+        items: &[T],
+        f: impl Fn(&mut Evaluator, &mut Store, &mut DynEnv, usize, &T) -> XdmResult<Sequence> + Sync,
+    ) -> Vec<XdmResult<Sequence>> {
+        self.stats.par_regions += 1;
+        self.stats.par_items += items.len() as u64;
+        let parent: &Evaluator = self;
+        crate::par::par_map(
+            parent.threads,
+            items,
+            || (parent.worker(), store.read_view(), env.clone()),
+            |(ev, view, wenv), i, it| {
+                let mark = view.slot_mark();
+                let r = f(ev, view, wenv, i, it);
+                if ev.stats.requests_emitted > 0
+                    || ev.stats.snaps_closed > 0
+                    || view.slot_mark() != mark
+                {
+                    return Err(XdmError::new(
+                        "XQB0051",
+                        "internal: a parallel worker emitted updates or allocated nodes",
+                    ));
+                }
+                r
+            },
+        )
     }
 
     fn eval_call(

@@ -21,10 +21,18 @@ pub fn dispatch(
     store: &mut Store,
     env: &DynEnv,
 ) -> Option<XdmResult<Sequence>> {
+    // Internal / constructor functions keyed on the full prefixed name.
+    if let Some(r) = dispatch_prefixed(name, &args, store) {
+        return Some(r);
+    }
+    let local = name.strip_prefix("fn:").unwrap_or(name);
+    if !is_builtin_local(local) {
+        return None;
+    }
     // `fn:parse-xml` is the one built-in that needs `&mut Store` (the
-    // parsed document's nodes are allocated in it); everything else lives
-    // in the shared read-only table below.
-    if name.strip_prefix("fn:").unwrap_or(name) == "parse-xml" {
+    // parsed document's nodes are allocated in it); everything else
+    // merely reads the store.
+    if local == "parse-xml" {
         let mut it = args.into_iter();
         return Some(if it.len() == 1 {
             (|| {
@@ -35,34 +43,6 @@ pub fn dispatch(
         } else {
             Err(wrong_arity("parse-xml", it.len()))
         });
-    }
-    dispatch_readonly(name, args, store, env)
-}
-
-/// Dispatch a built-in call through shared (`&Store`) access only — the
-/// entry point parallel workers use (every built-in except `fn:parse-xml`
-/// merely reads the store). `fn:parse-xml` reports `XQB0050` here: the
-/// parallel gate excludes it statically, so reaching that error indicates
-/// a gate bug rather than a user mistake.
-pub fn dispatch_readonly(
-    name: &str,
-    args: Vec<Sequence>,
-    store: &Store,
-    env: &DynEnv,
-) -> Option<XdmResult<Sequence>> {
-    // Internal / constructor functions keyed on the full prefixed name.
-    if let Some(r) = dispatch_prefixed(name, &args, store) {
-        return Some(r);
-    }
-    let local = name.strip_prefix("fn:").unwrap_or(name);
-    if !is_builtin_local(local) {
-        return None;
-    }
-    if local == "parse-xml" {
-        return Some(Err(XdmError::new(
-            "XQB0050",
-            "fn:parse-xml mutates the store and cannot run in a parallel region",
-        )));
     }
     Some(call(local, args, store, env))
 }

@@ -58,7 +58,7 @@ pub use env::{DynEnv, Focus};
 pub use eval::{EvalStats, Evaluator};
 pub use limits::{LimitGuard, Limits, TripKind};
 pub use obs::{Gauge, MetricsSnapshot, NodeStats, Profile, Registry, TraceSink};
-pub use par::{par_safe, threads_from_env, PureCtx, MAX_THREADS, PAR_MIN_ITEMS};
+pub use par::{par_safe, threads_from_env, MAX_THREADS, PAR_MIN_ITEMS};
 pub use planner::{
     program_fingerprint, CompiledProgram, FunctionExecutor, Planner, SharedPlanCache,
 };

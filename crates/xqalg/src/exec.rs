@@ -20,7 +20,7 @@
 
 use crate::plan::{BatchFilter, BatchPathPlan, BatchStep, GroupByPlan, JoinPlan, QueryPlan};
 use std::collections::{HashMap, HashSet};
-use xqcore::par::{eval_pure, merge_in_order, par_map, PAR_MIN_ITEMS};
+use xqcore::par::merge_in_order;
 use xqcore::{DynEnv, Evaluator};
 use xqdm::item::{self, Item, Sequence};
 use xqdm::seq;
@@ -90,11 +90,18 @@ fn run_node(
                 return par_hash_join(join, evaluator, store, env);
             }
             let mut out = Sequence::new();
-            for_each_match(join, evaluator, store, env, |ev, store, env, _outer, _| {
-                let v = ev.eval(store, env, &join.body)?;
-                out.extend(v);
-                Ok(())
-            })?;
+            drive_join(
+                join,
+                evaluator,
+                store,
+                env,
+                |ev, store, env, outer, matches, inner| {
+                    for &idx in matches {
+                        out.extend(match_body(join, ev, store, env, outer, &inner[idx])?);
+                    }
+                    Ok(())
+                },
+            )?;
             Ok(out)
         }
         QueryPlan::OuterJoinGroupBy(group) => {
@@ -133,22 +140,16 @@ fn run_node(
             let body_id = source_id + source.node_count();
             let src = execute_at(source, source_id, evaluator, store, env)?;
             evaluator.note_input(src.len() as u64);
-            // Pure bodies fan out like the interpreter's `Core::For` rule
-            // (they collapsed to an `Iterate` leaf at compile time, so the
-            // same gate applies to the same core expression). Fanned-out
-            // iterations attribute to *this* node's profile frame: the
-            // body node records no calls, exactly as in the interpreter.
+            // Pure bodies fan out through the interpreter's own parallel
+            // `for` rule (they collapsed to an `Iterate` leaf at compile
+            // time, so the same gate applies to the same core expression).
+            // Fanned-out iterations attribute to *this* node's profile
+            // frame: the body node records no calls, as in the interpreter.
             if let QueryPlan::Iterate(core) = body.as_ref() {
-                if src.len() >= PAR_MIN_ITEMS && evaluator.par_candidate(core) {
-                    return par_plan_for(
-                        evaluator,
-                        store,
-                        env,
-                        var,
-                        position.as_deref(),
-                        &src,
-                        core,
-                    );
+                if let Some(r) =
+                    evaluator.try_par_for(store, env, var, position.as_deref(), &src, core)
+                {
+                    return r;
                 }
             }
             let mut out = Sequence::new();
@@ -162,7 +163,11 @@ fn run_node(
                     env.pop_var();
                 }
                 env.pop_var();
-                out.extend(r?);
+                // The memory charge of the interpreter's `for` rule, so
+                // the parallel and sequential loops charge alike.
+                let v = r?;
+                evaluator.guard().charge(v.len() as u64)?;
+                out.extend(v);
             }
             Ok(out)
         }
@@ -521,73 +526,72 @@ fn eval_join_source(
     }
 }
 
-/// The hash-join driver shared by both optimized plans: evaluates both
-/// sides once, hashes the inner side, then invokes `on_match` for every
-/// (outer, inner) pair in nested-loop order. The callback receives the
-/// outer item and the inner matches are bound in `env` around each call.
-fn for_each_match(
+/// One hash-join match: the body with the outer and inner bindings in
+/// scope. The sequential join and its parallel twin both run this.
+fn match_body(
     join: &JoinPlan,
-    evaluator: &mut Evaluator,
+    ev: &mut Evaluator,
     store: &mut Store,
     env: &mut DynEnv,
-    mut on_match: impl FnMut(&mut Evaluator, &mut Store, &mut DynEnv, &Item, usize) -> XdmResult<()>,
-) -> XdmResult<()> {
-    drive_join(
-        join,
-        evaluator,
-        store,
-        env,
-        |ev, store, env, outer, matches, inner| {
-            env.push_var(join.outer_var.clone(), seq![outer.clone()]);
-            let r = (|| {
-                for &idx in matches {
-                    env.push_var(join.inner_var.clone(), seq![inner[idx].clone()]);
-                    let r = on_match(ev, store, env, outer, idx);
-                    env.pop_var();
-                    r?;
-                }
-                Ok(())
-            })();
-            env.pop_var();
-            r
-        },
-    )
+    outer: &Item,
+    inner: &Item,
+) -> XdmResult<Sequence> {
+    env.push_var(join.outer_var.clone(), seq![outer.clone()]);
+    env.push_var(join.inner_var.clone(), seq![inner.clone()]);
+    let r = ev.eval(store, env, &join.body);
+    env.pop_var();
+    env.pop_var();
+    r
 }
 
-/// Outer-join + group-by: per outer binding, the grouped sequence is the
-/// concatenation of the per-match body values (empty when no matches —
-/// the LEFT OUTER part), bound to the group variable for the outer return.
+/// One outer-join/group-by row: per outer binding, the grouped sequence
+/// is the concatenation of the per-match body values (empty when no
+/// matches — the LEFT OUTER part), bound to the group variable for the
+/// outer return. The sequential operator and its parallel twin both run
+/// this.
+fn group_row<'a>(
+    group: &GroupByPlan,
+    ev: &mut Evaluator,
+    store: &mut Store,
+    env: &mut DynEnv,
+    outer: &Item,
+    matches: impl Iterator<Item = &'a Item>,
+) -> XdmResult<Sequence> {
+    let join = &group.join;
+    env.push_var(join.outer_var.clone(), seq![outer.clone()]);
+    let r = (|| {
+        let mut grouped = Sequence::new();
+        for inner in matches {
+            env.push_var(join.inner_var.clone(), seq![inner.clone()]);
+            let v = ev.eval(store, env, &join.body);
+            env.pop_var();
+            grouped.extend(v?);
+        }
+        env.push_var(group.group_var.clone(), grouped);
+        let v = ev.eval(store, env, &group.ret);
+        env.pop_var();
+        v
+    })();
+    env.pop_var();
+    r
+}
+
 fn execute_group_by(
     group: &GroupByPlan,
     evaluator: &mut Evaluator,
     store: &mut Store,
     env: &mut DynEnv,
 ) -> XdmResult<Sequence> {
-    let join = &group.join;
     let mut out = Sequence::new();
     drive_join(
-        join,
+        &group.join,
         evaluator,
         store,
         env,
         |ev, store, env, outer, matches, inner| {
-            env.push_var(join.outer_var.clone(), seq![outer.clone()]);
-            let r = (|| {
-                let mut grouped = Sequence::new();
-                for &idx in matches {
-                    env.push_var(join.inner_var.clone(), seq![inner[idx].clone()]);
-                    let v = ev.eval(store, env, &join.body);
-                    env.pop_var();
-                    grouped.extend(v?);
-                }
-                env.push_var(group.group_var.clone(), grouped);
-                let v = ev.eval(store, env, &group.ret);
-                env.pop_var();
-                out.extend(v?);
-                Ok(())
-            })();
-            env.pop_var();
-            r
+            let rows = matches.iter().map(|&idx| &inner[idx]);
+            out.extend(group_row(group, ev, store, env, outer, rows)?);
+            Ok(())
         },
     )?;
     Ok(out)
@@ -672,195 +676,78 @@ fn drive_join(
     Ok(())
 }
 
-/// Parallel twin of the plan-level `For` execution, for pure `Iterate`
-/// bodies. Mirrors the interpreter's fan-out: input-order results, first
-/// failing iteration's error, workers share `&Store`.
-fn par_plan_for(
-    evaluator: &mut Evaluator,
-    store: &Store,
-    env: &DynEnv,
-    var: &str,
-    position: Option<&str>,
-    src: &[Item],
-    body: &Core,
-) -> XdmResult<Sequence> {
-    evaluator.note_par_region(src.len());
-    let depth = evaluator.nesting_depth();
-    let threads = evaluator.threads();
-    let ctx = evaluator.pure_ctx();
-    let results = par_map(threads, env, src, |wenv, i, it| {
-        wenv.push_var(var.to_string(), seq![it.clone()]);
-        if let Some(p) = position {
-            wenv.push_var(p.to_string(), seq![Item::integer((i + 1) as i64)]);
-        }
-        let r = eval_pure(&ctx, store, wenv, depth, body);
-        if position.is_some() {
-            wenv.pop_var();
-        }
-        wenv.pop_var();
-        r
-    });
-    merge_in_order(results)
-}
-
 /// One outer binding's probe result, collected before fan-out.
 struct ProbeRow {
     outer: Item,
-    /// Sorted, deduplicated inner match indices (nested-loop order).
-    matches: Vec<usize>,
+    /// The matching inner items, in nested-loop order.
+    matches: Vec<Item>,
 }
 
-/// Evaluate both join sides, hash the inner side, and probe — stopping at
-/// the first outer-key error. The rows collected *precede* that error in
-/// the sequential evaluation order, so running their (pure) bodies first
-/// and surfacing the key error only if every body succeeds reproduces the
-/// sequential first-error exactly. Inner-key errors surface immediately:
-/// sequentially, the whole build finishes before any probe body runs.
+/// Run the join's build and probe, collecting the rows instead of
+/// running bodies — stopping at the first error. The rows collected
+/// *precede* that error in the sequential evaluation order (a source or
+/// inner-key error leaves none), so running their (pure) bodies first and
+/// surfacing the error only if every body succeeds reproduces the
+/// sequential first error exactly.
 fn probe_rows(
     join: &JoinPlan,
     evaluator: &mut Evaluator,
     store: &mut Store,
     env: &mut DynEnv,
-) -> XdmResult<(Vec<ProbeRow>, Sequence, Option<XdmError>)> {
-    let outer = eval_join_source(
-        &join.outer_source,
-        join.outer_batch.as_ref(),
+) -> (Vec<ProbeRow>, XdmResult<()>) {
+    let mut rows = Vec::new();
+    let probed = drive_join(
+        join,
         evaluator,
         store,
         env,
-    )?;
-    let inner = eval_join_source(
-        &join.inner_source,
-        join.inner_batch.as_ref(),
-        evaluator,
-        store,
-        env,
-    )?;
-    evaluator.note_input(outer.len() as u64);
-    let mut table: HashMap<String, Vec<usize>> = HashMap::new();
-    for (idx, it) in inner.iter().enumerate() {
-        let keys = eval_key(
-            evaluator,
-            store,
-            env,
-            &join.inner_var,
-            it,
-            &join.inner_key,
-            join.inner_key_steps.as_deref(),
-        )?;
-        for k in keys {
-            table.entry(k).or_default().push(idx);
-        }
-    }
-    let mut rows = Vec::with_capacity(outer.len());
-    let mut key_err = None;
-    for o in outer {
-        let keys = match eval_key(
-            evaluator,
-            store,
-            env,
-            &join.outer_var,
-            &o,
-            &join.outer_key,
-            join.outer_key_steps.as_deref(),
-        ) {
-            Ok(keys) => keys,
-            Err(e) => {
-                key_err = Some(e);
-                break;
-            }
-        };
-        let mut matches: Vec<usize> = Vec::new();
-        for k in &keys {
-            if let Some(idxs) = table.get(k) {
-                matches.extend_from_slice(idxs);
-            }
-        }
-        matches.sort_unstable();
-        matches.dedup();
-        rows.push(ProbeRow { outer: o, matches });
-    }
-    Ok((rows, inner, key_err))
+        |_, _, _, outer, matches, inner| {
+            rows.push(ProbeRow {
+                outer: outer.clone(),
+                matches: matches.iter().map(|&idx| inner[idx].clone()).collect(),
+            });
+            Ok(())
+        },
+    );
+    (rows, probed)
 }
 
 /// Hash join with a pure body: probe rows collected sequentially (key
 /// expressions may error; bodies cannot leave a trace), then every
-/// (outer, inner) match pair evaluated on the worker pool in nested-loop
-/// order.
+/// (outer, inner) match pair runs [`match_body`] on worker evaluators, in
+/// nested-loop order.
 fn par_hash_join(
     join: &JoinPlan,
     evaluator: &mut Evaluator,
     store: &mut Store,
     env: &mut DynEnv,
 ) -> XdmResult<Sequence> {
-    let (rows, inner, key_err) = probe_rows(join, evaluator, store, env)?;
-    let store: &Store = store;
-    let inner = &inner;
+    let (rows, probed) = probe_rows(join, evaluator, store, env);
     let pairs: Vec<(&Item, &Item)> = rows
         .iter()
-        .flat_map(|row| {
-            let outer = &row.outer;
-            row.matches.iter().map(move |&idx| (outer, &inner[idx]))
-        })
+        .flat_map(|row| row.matches.iter().map(move |inner| (&row.outer, inner)))
         .collect();
-    evaluator.note_par_region(pairs.len());
-    let depth = evaluator.nesting_depth();
-    let threads = evaluator.threads();
-    let ctx = evaluator.pure_ctx();
-    let results = par_map(threads, env, &pairs, |wenv, _i, (o, inn)| {
-        wenv.push_var(join.outer_var.clone(), seq![(*o).clone()]);
-        wenv.push_var(join.inner_var.clone(), seq![(*inn).clone()]);
-        let r = eval_pure(&ctx, store, wenv, depth, &join.body);
-        wenv.pop_var();
-        wenv.pop_var();
-        r
+    let results = evaluator.fan_out(store, env, &pairs, |ev, store, env, _, (outer, inner)| {
+        match_body(join, ev, store, env, outer, inner)
     });
     let merged = merge_in_order(results)?;
-    match key_err {
-        Some(e) => Err(e),
-        None => Ok(merged),
-    }
+    probed.map(|()| merged)
 }
 
 /// Outer-join/group-by with pure body *and* return: one worker task per
-/// outer binding (body over its matches, grouped sequence bound for the
-/// return), results concatenated in outer order.
+/// outer binding ([`group_row`]), results concatenated in outer order.
 fn par_group_by(
     group: &GroupByPlan,
     evaluator: &mut Evaluator,
     store: &mut Store,
     env: &mut DynEnv,
 ) -> XdmResult<Sequence> {
-    let join = &group.join;
-    let (rows, inner, key_err) = probe_rows(join, evaluator, store, env)?;
-    let store: &Store = store;
-    evaluator.note_par_region(rows.len());
-    let depth = evaluator.nesting_depth();
-    let threads = evaluator.threads();
-    let ctx = evaluator.pure_ctx();
-    let results = par_map(threads, env, &rows, |wenv, _i, row| {
-        wenv.push_var(join.outer_var.clone(), seq![row.outer.clone()]);
-        let r = (|wenv: &mut DynEnv| {
-            let mut grouped = Sequence::new();
-            for &idx in &row.matches {
-                wenv.push_var(join.inner_var.clone(), seq![inner[idx].clone()]);
-                let v = eval_pure(&ctx, store, wenv, depth, &join.body);
-                wenv.pop_var();
-                grouped.extend(v?);
-            }
-            wenv.push_var(group.group_var.clone(), grouped);
-            let v = eval_pure(&ctx, store, wenv, depth, &group.ret);
-            wenv.pop_var();
-            v
-        })(wenv);
-        wenv.pop_var();
-        r
+    let (rows, probed) = probe_rows(&group.join, evaluator, store, env);
+    let results = evaluator.fan_out(store, env, &rows, |ev, store, env, _, row| {
+        group_row(group, ev, store, env, &row.outer, row.matches.iter())
     });
     let merged = merge_in_order(results)?;
-    match key_err {
-        Some(e) => Err(e),
-        None => Ok(merged),
-    }
+    probed.map(|()| merged)
 }
 
 /// Evaluate a join key for one binding: the atomized string values.

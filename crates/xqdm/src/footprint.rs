@@ -26,7 +26,7 @@
 use crate::node::NodeId;
 use crate::wal::RedoOp;
 use std::collections::{HashMap, HashSet};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Aspect bits: which facet of a node a read or write touched. Aspect
 /// granularity is what keeps sibling tenants independent — a name test
@@ -164,9 +164,10 @@ impl CapturedDelta {
 
 /// The in-store recorder (one per capturing [`crate::Store`]). Mirrors
 /// the WAL's pending-ops discipline — frame marks, rollback truncation —
-/// and adds the footprints. Reads go through a mutex because effect-free
-/// parallel regions share `&Store` across worker threads; the disabled
-/// path costs one pointer check per accessor.
+/// and adds the footprints. The read set sits behind an `Arc<Mutex<_>>`
+/// because the read views of an effect-free parallel region
+/// ([`Capture::read_view`]) record into the same set from worker
+/// threads; the disabled path costs one pointer check per accessor.
 #[derive(Debug, Default)]
 pub(crate) struct Capture {
     pub(crate) ops: Vec<RedoOp>,
@@ -178,7 +179,7 @@ pub(crate) struct Capture {
     /// excluded from both footprints.
     fresh: HashSet<NodeId>,
     global: bool,
-    reads: Mutex<HashMap<NodeId, u8>>,
+    reads: Arc<Mutex<HashMap<NodeId, u8>>>,
     trace_reads: bool,
 }
 
@@ -188,6 +189,18 @@ impl Capture {
             trace_reads,
             ..Capture::default()
         }
+    }
+
+    /// The capture of a worker's read view: it shares this capture's
+    /// read set (and nothing else), so a parallel region's reads join
+    /// the transaction's footprint. `None` when this
+    /// capture does not trace reads (the view then needs no capture).
+    pub(crate) fn read_view(&self) -> Option<Capture> {
+        self.trace_reads.then(|| Capture {
+            trace_reads: true,
+            reads: Arc::clone(&self.reads),
+            ..Capture::default()
+        })
     }
 
     /// Is read tracing on? (The executor's index-scan gate.)

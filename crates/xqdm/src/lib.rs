@@ -47,7 +47,8 @@ pub use version::{Pinned, VersionSet};
 pub use wal::{CommitReceipt, RecoveryReport, SyncMode};
 
 // Parallel evaluation of effect-free regions (xqcore's DESIGN.md §9
-// feature) shares the store across scoped worker threads as `&Store`.
+// feature) shares the store across scoped worker threads as `&Store`,
+// each worker forking its own read view from it.
 // That is sound only while these types stay plain data — no `Rc`, no
 // `Cell`/`RefCell`, no raw pointers. These assertions turn any future
 // interior-mutability regression into a compile error at its source.

@@ -273,6 +273,37 @@ impl Store {
         }
     }
 
+    /// A copy-on-write read view for one worker of an effect-free
+    /// parallel region (DESIGN.md §9): forks the slots in O(pages) like
+    /// [`Store::snapshot`], with two differences. It may be taken inside
+    /// an open undo frame — the view should see the evaluator's current,
+    /// uncommitted state, and is dropped before the frame closes. And
+    /// under a read-tracing capture, the view records its reads into the
+    /// same capture's read set (so [`Store::tracing_reads`] answers alike
+    /// on both), keeping an optimistic writer's read footprint whole.
+    pub fn read_view(&self) -> Store {
+        Store {
+            nodes: self.nodes.clone(),
+            free: self.free.clone(),
+            undo: Vec::new(),
+            frames: Vec::new(),
+            wal: None,
+            capture: self
+                .capture
+                .as_deref()
+                .and_then(Capture::read_view)
+                .map(Box::new),
+            symbols: self.symbols.clone(),
+            index: self.index.clone(),
+        }
+    }
+
+    /// A mark that changes whenever a slot is allocated or retired: a
+    /// worker compares marks to prove its read view stayed read-only.
+    pub fn slot_mark(&self) -> (usize, usize) {
+        (self.nodes.len(), self.free.len())
+    }
+
     /// How many node pages this store still shares with `other`
     /// (snapshot-COW observability; see [`Store::snapshot`]).
     pub fn shared_pages_with(&self, other: &Store) -> usize {
@@ -661,8 +692,9 @@ impl Store {
     }
 
     /// Record an evaluator-visible read of `aspects` of `id` (no-op
-    /// unless a read-tracing capture is attached). `&self` on purpose:
-    /// effect-free parallel regions read through shared `&Store`.
+    /// unless a read-tracing capture is attached). `&self` like every
+    /// accessor; the capture's read set sits behind a mutex because the
+    /// read views of a parallel region share it ([`Store::read_view`]).
     #[inline]
     fn trace_read(&self, id: NodeId, aspects: u8) {
         if let Some(c) = &self.capture {
@@ -2404,6 +2436,34 @@ mod tests {
         let attr = s.attribute_by_name(c, "x").unwrap().unwrap();
         assert_eq!(s.string_value(attr).unwrap(), "1");
         assert_eq!(s.attribute_by_name(c, "nope").unwrap(), None);
+    }
+
+    #[test]
+    fn read_view_sees_uncommitted_state_and_traces_into_the_parent() {
+        let (mut s, a, b, _c, _t) = sample();
+        s.begin_capture(true);
+        s.begin_frame();
+        let d = s.new_element(q("d"));
+        s.append_child(a, d).unwrap();
+        // Taken inside the open frame: the view sees the uncommitted
+        // child and shares every page with the parent.
+        let mut view = s.read_view();
+        assert!(view.tracing_reads());
+        assert_eq!(view.children(a).unwrap().len(), 3);
+        assert_eq!(view.shared_pages_with(&s), s.page_count());
+        view.children(b).unwrap();
+        // An allocation in the view moves its mark and stays private.
+        let mark = view.slot_mark();
+        view.new_text("x");
+        assert_ne!(view.slot_mark(), mark);
+        assert_eq!(s.slot_mark(), mark);
+        drop(view);
+        s.commit_frame();
+        let delta = s.take_capture().unwrap();
+        assert_eq!(delta.reads().aspects(b), crate::footprint::aspect::CHILDREN);
+        // A capture without read tracing gives views nothing to trace.
+        s.begin_capture(false);
+        assert!(!s.read_view().tracing_reads());
     }
 
     #[test]

@@ -57,6 +57,14 @@ fn limit_error_codes_at_1_and_8_threads() {
         (fuel, "for $i in 1 to 100000 return $i + 1", "XQB0041"),
         (deadline, "for $i in 1 to 100000 return $i + 1", "XQB0042"),
         (memory, "count((1 to 100000))", "XQB0043"),
+        (
+            Limits {
+                memory_items: Some(20_000),
+                ..Limits::default()
+            },
+            "count(for $i in 1 to 10 return for $j in 1 to 1000 return $j)",
+            "XQB0043",
+        ),
     ];
     for threads in [1usize, 8] {
         for (limits, query, code) in cases {

@@ -374,3 +374,95 @@ fn backpressure_rejects_with_xqb0051_and_recovers() {
     assert_eq!(server.stats().rejected_backpressure, 1);
     assert_eq!(server.stats().inflight, 0, "rejection releases the slot");
 }
+
+// ----------------------------------------------------------------------
+// 6. optimistic writes whose reads run on parallel workers
+// ----------------------------------------------------------------------
+
+const WORKER_READ_DOC: &str = "<r><c>0</c><out/></r>";
+
+/// A write whose only read of `c`'s text sits inside a pure `for` over 8
+/// items — a parallel region at 2 threads. The `sum` keeps each attempt
+/// slow enough for a concurrent commit to land between the write's fork
+/// and its validation.
+const READ_IN_WORKERS: &str = "let $seen := for $i in 1 to 8 \
+     return (sum(1 to 300000)[. < 0], string($doc/r/c)) \
+     return insert { <seen>{ $seen[1] }</seen> } into { $doc/r/out }";
+
+/// The concurrent commit: changes exactly the text `READ_IN_WORKERS`
+/// reads on its workers.
+const BUMP: &str = "replace value of { $doc/r/c/text() } with { $doc/r/c + 1 }";
+
+#[test]
+fn occ_write_reading_on_parallel_workers_conflicts_and_replays_serially() {
+    // The region really fans out at 2 threads.
+    let mut probe = Engine::new();
+    probe.set_threads(2);
+    probe.load_document("doc", WORKER_READ_DOC).unwrap();
+    probe.run(READ_IN_WORKERS).unwrap();
+    assert!(probe.last_stats().unwrap().par_regions > 0);
+
+    let mut e = Engine::new();
+    e.load_document("doc", WORKER_READ_DOC).unwrap();
+    let server = Server::with_config(
+        e.0,
+        ServerConfig {
+            threads: 2,
+            audit: true,
+            ..ServerConfig::default()
+        },
+    );
+    let before = server.stats();
+    let main = server.open_session().unwrap();
+    // Each round lines up "writer pins, BUMP commits, writer validates":
+    // the writer starts with BUMP at a barrier, BUMP waits until the
+    // writer holds its pin, and the writer's slow loop outlasts BUMP.
+    for _ in 0..10 {
+        let start = Arc::new(Barrier::new(2));
+        let writer = std::thread::spawn({
+            let server = server.clone();
+            let start = start.clone();
+            move || {
+                let s = server.open_session().unwrap();
+                start.wait();
+                s.execute(READ_IN_WORKERS)
+            }
+        });
+        start.wait();
+        while server.stats().snapshot_pins == 0 && !writer.is_finished() {
+            std::thread::yield_now();
+        }
+        // Past the classification pin, into the optimistic attempt.
+        std::thread::sleep(std::time::Duration::from_millis(5));
+        main.execute(BUMP).unwrap();
+        writer.join().unwrap().unwrap();
+        if server.stats().retries > before.retries {
+            break;
+        }
+    }
+    // Metrics are process-global, so compare against the snapshot taken
+    // before this test's traffic.
+    let after = server.stats();
+    assert!(
+        after.conflicts > before.conflicts,
+        "{before:?} -> {after:?}"
+    );
+    assert!(after.retries > before.retries, "{before:?} -> {after:?}");
+
+    // Serial replay of the commit log reproduces every epoch: the
+    // retried write saw the bumped text.
+    let mut replica = Engine::new();
+    replica.load_document("doc", WORKER_READ_DOC).unwrap();
+    for c in server.commit_log() {
+        let v = replica.run(&c.query).unwrap();
+        assert_eq!(Ok(replica.serialize(&v).unwrap()), c.body);
+        assert_eq!(
+            replica.store.fingerprint(),
+            c.fingerprint,
+            "store diverged after epoch {} ({})",
+            c.epoch,
+            c.query
+        );
+    }
+    assert_eq!(replica.store.fingerprint(), server.fingerprint());
+}
